@@ -466,6 +466,13 @@ fn main() {
             m02::total_stall_ns(&r.sharded) as f64 / 1e9,
             r.sharded.workers,
         );
+        eprintln!(
+            "[counters] m02 queue: serial {:.2} entries compared/event ({} buckets scanned), \
+             sharded {:.2} entries compared/event",
+            m02::entries_compared_per_event(&r.serial),
+            r.serial.queue.buckets_scanned,
+            m02::entries_compared_per_event(&r.sharded),
+        );
         for s in &r.sharded.shard_counters {
             eprintln!(
                 "[counters] m02 shard {}: {} cells, {} events, {} timers, {} sent, {} in",
@@ -824,6 +831,10 @@ fn main() {
             json.push_str(&format!(
                 "    \"barrier_stall_seconds\": {:.3},\n",
                 m02::total_stall_ns(&r.sharded) as f64 / 1e9
+            ));
+            json.push_str(&format!(
+                "    \"queue_entries_compared_per_event\": {:.3},\n",
+                m02::entries_compared_per_event(&r.serial)
             ));
             json.push_str(&format!(
                 "    \"jobs_spawned\": {},\n",

@@ -45,15 +45,15 @@ pub const MACRO_COORDINATORS: usize = 4;
 /// File-server daemons striping the batch workload's root domain.
 pub const MACRO_FS_SHARDS: usize = 2;
 
-/// The month's selection architecture: gossip dissemination tuned for the
-/// driver's one-minute report cadence — fanout 1, batches of 4 entries, a
-/// refresh floor every 30th report (an unchanged host still re-gossips
-/// twice an hour) and entries trusted for 45 minutes. This replaces the
-/// central server whose 500 µs service queue cost 615 ms per selection at
-/// 120 hosts.
-pub fn month_selector(rep: usize) -> Box<dyn HostSelector> {
+/// The month's selection architecture for a `hosts`-host cluster: gossip
+/// dissemination tuned for the driver's one-minute report cadence — fanout
+/// 1, batches of 4 entries, a refresh floor every 30th report (an unchanged
+/// host still re-gossips twice an hour) and entries trusted for 45 minutes.
+/// This replaces the central server whose 500 µs service queue cost 615 ms
+/// per selection at 120 hosts.
+pub fn month_selector(hosts: usize, rep: usize) -> Box<dyn HostSelector> {
     let mut g = GossipDissemination::new(
-        MACRO_HOSTS,
+        hosts,
         1,
         4,
         AvailabilityPolicy::default(),
@@ -135,7 +135,12 @@ pub fn run() -> MacroReport {
         .into_iter()
         .enumerate()
         .map(|(rep, rng)| {
-            e11::run_seeded_with(MACRO_HOSTS, MACRO_REP_DAYS, rng, month_selector(rep))
+            e11::run_seeded_with(
+                MACRO_HOSTS,
+                MACRO_REP_DAYS,
+                rng,
+                month_selector(MACRO_HOSTS, rep),
+            )
         })
         .collect();
     let month = e11::merge(&month_reports);
@@ -328,5 +333,19 @@ mod tests {
         assert!(procs.high_water > 0, "slab saw live processes");
         assert_eq!(procs.stale_lookups, 0, "no stale PCB handles");
         assert_eq!(cluster.fs.streams().stale_lookups(), 0);
+    }
+
+    #[test]
+    fn month_selector_sizes_to_any_cluster() {
+        // The gossip view must span exactly the month's hosts: a view sized
+        // for MACRO_HOSTS panics on the first report from host 120.
+        for hosts in [40, 150] {
+            let rng = e11::replication_rngs(MACRO_SEED, 1).remove(0);
+            let month = e11::run_seeded_with(hosts, 1, rng, month_selector(hosts, 0));
+            assert_eq!(month.hosts, hosts);
+            assert!(month.jobs > 0);
+            assert!(month.hostsel_requests > 0);
+            assert_eq!(month.stale_handle_lookups, 0);
+        }
     }
 }

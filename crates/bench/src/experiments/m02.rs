@@ -25,7 +25,8 @@ use std::time::Instant;
 use sprite_kernel::build_cluster_cells;
 use sprite_net::{CostModel, ShardLink};
 use sprite_sim::{
-    Checkpoint, ShardCounters, ShardedEngine, SimDuration, SimTime, StateDigest, WorkerCounters,
+    Checkpoint, EngineCounters, ShardCounters, ShardedEngine, SimDuration, SimTime, StateDigest,
+    WorkerCounters,
 };
 
 use crate::support::TableWriter;
@@ -93,6 +94,8 @@ pub struct M02Run {
     pub audit: Vec<Checkpoint>,
     /// Per-shard effort.
     pub shard_counters: Vec<ShardCounters>,
+    /// Calendar-queue effort summed across shards.
+    pub queue: EngineCounters,
     /// Per-worker barrier stalls.
     pub worker_stalls: Vec<WorkerCounters>,
     /// Cluster-wide job accounting.
@@ -152,6 +155,7 @@ pub fn drive(params: M02Params, shards: usize, workers: usize) -> M02Run {
         messages: eng.messages_delivered(),
         cross_messages: eng.cross_shard_messages(),
         shard_counters: eng.shard_counters(),
+        queue: eng.queue_counters(),
         worker_stalls: eng.worker_stalls().to_vec(),
         jobs,
         wall_seconds,
@@ -233,6 +237,12 @@ pub fn render(r: &M02Report) -> String {
     t.note("worker threads; its digest stream must match the serial stream");
     t.note("byte for byte (shard/worker counts and wall time are on stderr)");
     t.render()
+}
+
+/// Calendar key comparisons per executed event — the queue's exact,
+/// machine-independent work measure.
+pub fn entries_compared_per_event(run: &M02Run) -> f64 {
+    run.queue.entries_compared as f64 / run.events.max(1) as f64
 }
 
 /// Total barrier-stall nanoseconds across a drive's workers.

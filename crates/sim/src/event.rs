@@ -14,7 +14,8 @@
 //!
 //! Month-long runs execute millions of events, the vast majority of them
 //! recurring daemon ticks, so the pending-event set lives in the calendar
-//! queue of [`crate::calendar`] — O(1) amortized push/pop, shared with the
+//! queue of [`crate::calendar`] — O(1) amortized push/pop (O(log k) per pop
+//! when k entries share one timestamp), shared with the
 //! sharded conservative-parallel engine in [`crate::shard`]. This engine's
 //! entries are closures keyed `(time, seq)`: ties break by insertion order.
 //!
@@ -22,8 +23,8 @@
 //! **once** and re-armed in place after each tick, so a month of load-daemon
 //! ticks costs one allocation instead of one per tick. The counters in
 //! [`EngineCounters`] (via [`Engine::counters`]) make both effects visible:
-//! `periodic_reschedules` counts the allocations avoided and
-//! `buckets_scanned` the calendar's search effort.
+//! `periodic_reschedules` counts the allocations avoided, and
+//! `buckets_scanned` plus `entries_compared` the calendar's search effort.
 
 use crate::calendar::{Calendar, CalendarEntry, Pop};
 use crate::digest::Checkpoint;

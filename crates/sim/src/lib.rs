@@ -8,7 +8,8 @@
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution simulated clock;
 //! * [`Engine`] — a discrete-event loop whose events are closures over the
 //!   simulation state, with deterministic tie-breaking; pending events live
-//!   in a calendar queue (O(1) amortized), recurring work re-arms one boxed
+//!   in a calendar queue (O(1) amortized, O(log k) when k entries share a
+//!   timestamp), recurring work re-arms one boxed
 //!   handler via [`Engine::schedule_periodic`], and [`EngineCounters`]
 //!   exposes the engine's effort;
 //! * [`DetRng`] — a seeded RNG (in-repo xoshiro256++, no external

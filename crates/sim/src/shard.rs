@@ -739,6 +739,7 @@ impl<C: Cell> ShardedEngine<C> {
             total.handler_allocations += c.handler_allocations;
             total.periodic_reschedules += c.periodic_reschedules;
             total.buckets_scanned += c.buckets_scanned;
+            total.entries_compared += c.entries_compared;
             total.overflow_migrations += c.overflow_migrations;
             total.resizes += c.resizes;
         }

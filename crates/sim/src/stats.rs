@@ -235,11 +235,16 @@ impl Samples {
 /// Effort counters for the event engine's calendar queue.
 ///
 /// These make the engine's cost model observable: `events_executed` is the
-/// work done, `buckets_scanned` the calendar's search effort (amortized O(1)
-/// means it stays within a small multiple of events executed),
-/// `periodic_reschedules` the number of ticks that re-armed an existing
-/// boxed handler instead of allocating a new one, and
-/// `handler_allocations` the closures actually boxed — so
+/// work done, and the calendar's search effort has two parts.
+/// `buckets_scanned` counts buckets visited, which stays within a small
+/// multiple of events executed however the entries are distributed, so on
+/// its own it proves nothing about per-pop cost: one bucket holding k
+/// same-time entries is a single scan. `entries_compared` counts the key
+/// comparisons made inside buckets and the overflow list; it is the counter
+/// that grows if pops stop being cheap (O(log k) amortized per pop for k
+/// entries sharing a bucket). `periodic_reschedules` is the number of ticks
+/// that re-armed an existing boxed handler instead of allocating a new one,
+/// and `handler_allocations` the closures actually boxed — so
 /// `periodic_reschedules / (periodic_reschedules + handler_allocations)`
 /// is the fraction of allocations the periodic path avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -254,6 +259,10 @@ pub struct EngineCounters {
     pub periodic_reschedules: u64,
     /// Calendar buckets inspected while searching for the next event.
     pub buckets_scanned: u64,
+    /// Entry key comparisons: sorting a bucket when the cursor lands on it,
+    /// and binary-searching the insert point in the sorted cursor bucket or
+    /// the overflow list.
+    pub entries_compared: u64,
     /// Events migrated from the sorted overflow list into buckets as the
     /// calendar advanced years.
     pub overflow_migrations: u64,
@@ -265,11 +274,12 @@ impl fmt::Display for EngineCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events={} allocs={} rearm={} scans={} migrations={} resizes={}",
+            "events={} allocs={} rearm={} scans={} compared={} migrations={} resizes={}",
             self.events_executed,
             self.handler_allocations,
             self.periodic_reschedules,
             self.buckets_scanned,
+            self.entries_compared,
             self.overflow_migrations,
             self.resizes
         )

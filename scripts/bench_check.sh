@@ -160,6 +160,28 @@ awk -v s="$m02_serial" -v p="$m02_sharded" -v c="$m02_cores" 'BEGIN {
     exit 1
 }
 
+echo "==> m02 calendar work: entries compared per event"
+# Exact and machine-independent, so unlike the wall-time gates above it
+# cannot flake. The one-minute timer lattice puts every host's timer into
+# one calendar bucket; sorting that bucket once costs ~log2(hosts)
+# comparisons per pop (8.5 per event at 2000 hosts), while a minimum scan
+# over the whole bucket on every pop grows with the host count (436 per
+# event at 2000 hosts). The bound leaves ~2x headroom over the sorted
+# cost for drift in the standard library's sort.
+m02_compared="$(sed -n 's/.*"queue_entries_compared_per_event": \([0-9.]*\).*/\1/p' "$tmp/m4/BENCH_experiments.json" | head -1)"
+if [[ -z "$m02_compared" ]]; then
+    echo "FAIL: could not parse queue_entries_compared_per_event from BENCH_experiments.json" >&2
+    exit 1
+fi
+awk -v c="$m02_compared" 'BEGIN {
+    limit = 20
+    printf "    serial drive: %.3f entries compared per event, limit %d\n", c, limit
+    exit !(c <= limit)
+}' || {
+    echo "FAIL: m02 calendar compared $m02_compared entries per event (limit 20): pops are no longer O(log k)" >&2
+    exit 1
+}
+
 echo "==> wall-time regression vs BENCH_experiments.json baseline"
 baseline="$(sed -n 's/.*"total_wall_seconds": \([0-9.]*\).*/\1/p' BENCH_experiments.json | head -1)"
 fresh="$(sed -n 's/.*"total_wall_seconds": \([0-9.]*\).*/\1/p' "$tmp/BENCH_experiments.json" | head -1)"
