@@ -46,6 +46,20 @@
 //! execute them. `--shards 4` on a single-core box produces the exact bytes
 //! `--shards 4` produces on a 64-core box.
 //!
+//! # Key-sized queue entries
+//!
+//! A shard's calendar holds only ordering keys, `(time, cell, seq)`, plus
+//! the index of the event's slot in the shard's payload slab, 24 bytes
+//! whatever [`Cell::Msg`] weighs. The payload (a timer token or a message)
+//! is stashed in the slab when the event is queued and taken back when it
+//! pops. Freed slots are reused last-in first-out, so the slab never grows
+//! past the peak number of pending events, and the slot a popped event
+//! frees is usually the one its handler's re-armed timer takes. Slots
+//! never enter an ordering key or a digest, so the pop order and every
+//! digest stream are exactly what they would be with payloads inline;
+//! the minute lattice just sorts and drains buckets of thousands of small
+//! entries instead of thousands of large ones.
+//!
 //! # Threads
 //!
 //! This is the one place in the workspace that spawns threads, and they are
@@ -189,17 +203,22 @@ enum EventKind<M> {
     Msg { from: CellId, msg: M },
 }
 
-/// One queued event. The tie key `(cell, seq)` makes the per-shard pop
+/// One queued event: only its ordering key and the index of its payload in
+/// the shard's slab. The tie key `(cell, seq)` makes the per-shard pop
 /// order — and through it every cell's event order — independent of the
-/// partition (see the module docs).
-struct ShardEvent<M> {
+/// partition (see the module docs); `slot` never enters the key.
+///
+/// Keeping the entry key-sized (24 bytes, whatever `Cell::Msg` weighs)
+/// matters because the calendar sorts and drains buckets of thousands of
+/// entries when every host ticks on the same instant.
+struct ShardEvent {
     at: u64,
-    cell: CellId,
     seq: u64,
-    kind: EventKind<M>,
+    cell: CellId,
+    slot: u32,
 }
 
-impl<M> CalendarEntry for ShardEvent<M> {
+impl CalendarEntry for ShardEvent {
     fn at_micros(&self) -> u64 {
         self.at
     }
@@ -235,7 +254,8 @@ pub struct WorkerCounters {
     pub stall_ns: u64,
 }
 
-struct Slot<C> {
+/// A cell and its sequence counters.
+struct CellSlot<C> {
     cell: C,
     /// Next event seq for this cell (timers and deliveries share it).
     seq: u64,
@@ -246,8 +266,14 @@ struct Slot<C> {
 struct Shard<C: Cell> {
     nshards: usize,
     ncells: u32,
-    cells: Vec<Slot<C>>,
-    queue: Calendar<ShardEvent<C::Msg>>,
+    cells: Vec<CellSlot<C>>,
+    queue: Calendar<ShardEvent>,
+    /// Out-of-line event payloads, indexed by [`ShardEvent::slot`]; `None`
+    /// marks a free slot.
+    payloads: Vec<Option<EventKind<C::Msg>>>,
+    /// Free slots in `payloads`, reused last-in first-out, so the slab
+    /// never grows past the peak pending-event count.
+    free: Vec<u32>,
     outbox: Vec<OutMsg<C::Msg>>,
     timers_scratch: Vec<(u64, u64)>,
     counters: ShardCounters,
@@ -255,24 +281,51 @@ struct Shard<C: Cell> {
 }
 
 impl<C: Cell> Shard<C> {
+    /// Queues `kind` for `cell` at `at`: draws the cell's next seq, stashes
+    /// the payload in a free slab slot, and pushes the key-sized entry.
+    fn push_event(&mut self, at: u64, cell: CellId, kind: EventKind<C::Msg>) {
+        let target = &mut self.cells[cell as usize / self.nshards];
+        let seq = target.seq;
+        target.seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.payloads[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.payloads.len()).expect("pending events fit in u32");
+                self.payloads.push(Some(kind));
+                slot
+            }
+        };
+        self.queue.push(
+            ShardEvent {
+                at,
+                seq,
+                cell,
+                slot,
+            },
+            &mut self.engine_counters,
+        );
+    }
+
     /// Executes every local event strictly before `t_end_us`.
     fn execute_window(&mut self, t_end_us: u64, lookahead: SimDuration) {
         let deadline = t_end_us - 1;
-        loop {
-            let ev = match self
-                .queue
-                .pop_due(Some(deadline), &mut self.engine_counters)
-            {
-                Pop::Event(ev) => ev,
-                Pop::Parked | Pop::Empty => break,
-            };
+        while let Pop::Event(ev) = self
+            .queue
+            .pop_due(Some(deadline), &mut self.engine_counters)
+        {
+            let kind = self.payloads[ev.slot as usize]
+                .take()
+                .expect("a queued event's slot holds its payload");
+            self.free.push(ev.slot);
             self.engine_counters.events_executed += 1;
             self.counters.events += 1;
-            let local = ev.cell as usize / self.nshards;
             let now = SimTime::from_micros(ev.at);
             let before_out = self.outbox.len();
             {
-                let slot = &mut self.cells[local];
+                let target = &mut self.cells[ev.cell as usize / self.nshards];
                 let mut ctx = CellCtx {
                     now,
                     me: ev.cell,
@@ -280,30 +333,22 @@ impl<C: Cell> Shard<C> {
                     lookahead,
                     timers: &mut self.timers_scratch,
                     out: &mut self.outbox,
-                    send_seq: &mut slot.send_seq,
+                    send_seq: &mut target.send_seq,
                 };
-                match ev.kind {
-                    EventKind::Timer(token) => slot.cell.on_timer(now, token, &mut ctx),
-                    EventKind::Msg { from, msg } => slot.cell.on_message(now, from, msg, &mut ctx),
+                match kind {
+                    EventKind::Timer(token) => target.cell.on_timer(now, token, &mut ctx),
+                    EventKind::Msg { from, msg } => {
+                        target.cell.on_message(now, from, msg, &mut ctx)
+                    }
                 }
             }
             self.counters.messages_sent += (self.outbox.len() - before_out) as u64;
             self.counters.timers_set += self.timers_scratch.len() as u64;
-            let cell = ev.cell;
-            for (at, token) in self.timers_scratch.drain(..) {
-                let slot = &mut self.cells[local];
-                let seq = slot.seq;
-                slot.seq += 1;
-                self.queue.push(
-                    ShardEvent {
-                        at,
-                        cell,
-                        seq,
-                        kind: EventKind::Timer(token),
-                    },
-                    &mut self.engine_counters,
-                );
+            let mut timers = std::mem::take(&mut self.timers_scratch);
+            for (at, token) in timers.drain(..) {
+                self.push_event(at, ev.cell, EventKind::Timer(token));
             }
+            self.timers_scratch = timers;
         }
     }
 }
@@ -365,6 +410,8 @@ impl<C: Cell> ShardedEngine<C> {
                 ncells,
                 cells: Vec::with_capacity(cells.len() / nshards + 1),
                 queue: Calendar::new(),
+                payloads: Vec::new(),
+                free: Vec::new(),
                 outbox: Vec::new(),
                 timers_scratch: Vec::new(),
                 counters: ShardCounters {
@@ -375,7 +422,7 @@ impl<C: Cell> ShardedEngine<C> {
             })
             .collect();
         for (id, cell) in cells.into_iter().enumerate() {
-            shards[id % nshards].cells.push(Slot {
+            shards[id % nshards].cells.push(CellSlot {
                 cell,
                 seq: 0,
                 send_seq: 0,
@@ -429,20 +476,8 @@ impl<C: Cell> ShardedEngine<C> {
     pub fn seed_timer(&mut self, cell: CellId, at: SimTime, token: u64) {
         assert!(cell < self.ncells, "seed_timer: cell {cell} out of range");
         let shard = &mut self.shards[cell as usize % self.nshards];
-        let local = cell as usize / self.nshards;
-        let slot = &mut shard.cells[local];
-        let seq = slot.seq;
-        slot.seq += 1;
         shard.counters.timers_set += 1;
-        shard.queue.push(
-            ShardEvent {
-                at: at.as_micros(),
-                cell,
-                seq,
-                kind: EventKind::Timer(token),
-            },
-            &mut shard.engine_counters,
-        );
+        shard.push_event(at.as_micros(), cell, EventKind::Timer(token));
     }
 
     fn effective_workers(&self) -> usize {
@@ -503,21 +538,14 @@ impl<C: Cell> ShardedEngine<C> {
             }
             coord.messages += 1;
             let sh = &mut *shards[to_shard];
-            let slot = &mut sh.cells[m.to as usize / nshards];
-            let seq = slot.seq;
-            slot.seq += 1;
             sh.counters.messages_in += 1;
-            sh.queue.push(
-                ShardEvent {
-                    at: m.deliver_at,
-                    cell: m.to,
-                    seq,
-                    kind: EventKind::Msg {
-                        from: m.from,
-                        msg: m.msg,
-                    },
+            sh.push_event(
+                m.deliver_at,
+                m.to,
+                EventKind::Msg {
+                    from: m.from,
+                    msg: m.msg,
                 },
-                &mut sh.engine_counters,
             );
         }
         if coord.audit_every != 0 && coord.windows.is_multiple_of(coord.audit_every) {
@@ -538,31 +566,34 @@ impl<C: Cell> ShardedEngine<C> {
     }
 
     /// Runs the simulation to `horizon` (events at or after it stay
-    /// queued). May be called once per engine.
+    /// queued). A later call with a larger horizon resumes where this one
+    /// stopped, and the audit cadence counts windows across runs. Each run
+    /// cuts its last window at its horizon, so the barrier times after a
+    /// split differ from those of one uninterrupted run.
     pub fn run(&mut self, horizon: SimTime) {
         let workers = self.effective_workers();
         let mut coord = Coordinator {
             scratch: Vec::new(),
             audit_stream: Vec::new(),
             audit_every: self.audit_every,
-            windows: 0,
+            windows: self.windows,
             messages: 0,
             cross_messages: 0,
             lookahead_us: self.lookahead.as_micros(),
             horizon_us: horizon.as_micros(),
             ncells: self.ncells,
         };
-        if workers <= 1 {
+        self.worker_stalls = if workers <= 1 {
             self.run_single_threaded(&mut coord);
-            self.worker_stalls = vec![WorkerCounters {
+            vec![WorkerCounters {
                 worker: 0,
                 stall_ns: 0,
-            }];
+            }]
         } else {
-            self.run_threaded(&mut coord, workers);
-        }
+            self.run_threaded(&mut coord, workers)
+        };
         self.audit_stream.append(&mut coord.audit_stream);
-        self.windows += coord.windows;
+        self.windows = coord.windows;
         self.messages += coord.messages;
         self.cross_messages += coord.cross_messages;
     }
@@ -584,7 +615,13 @@ impl<C: Cell> ShardedEngine<C> {
         }
     }
 
-    fn run_threaded(&mut self, coord: &mut Coordinator<C::Msg>, workers: usize) {
+    /// Runs the windows on `workers` threads; returns their stall
+    /// counters in worker order.
+    fn run_threaded(
+        &mut self,
+        coord: &mut Coordinator<C::Msg>,
+        workers: usize,
+    ) -> Vec<WorkerCounters> {
         let lookahead = self.lookahead;
         let nshards = self.nshards;
         let shard_locks: Vec<Mutex<Shard<C>>> = self.shards.drain(..).map(Mutex::new).collect();
@@ -670,13 +707,15 @@ impl<C: Cell> ShardedEngine<C> {
             .into_iter()
             .map(|m| m.into_inner().unwrap())
             .collect();
+        let mut stalls = Vec::with_capacity(workers);
         for (leader_coord, wc) in results {
             if let Some(c) = leader_coord {
                 *coord = c;
             }
-            self.worker_stalls.push(wc);
+            stalls.push(wc);
         }
-        self.worker_stalls.sort_by_key(|w| w.worker);
+        stalls.sort_by_key(|w| w.worker);
+        stalls
     }
 
     /// The accumulated digest checkpoint stream (empty unless
@@ -734,14 +773,7 @@ impl<C: Cell> ShardedEngine<C> {
     pub fn queue_counters(&self) -> EngineCounters {
         let mut total = EngineCounters::default();
         for s in &self.shards {
-            let c = s.engine_counters;
-            total.events_executed += c.events_executed;
-            total.handler_allocations += c.handler_allocations;
-            total.periodic_reschedules += c.periodic_reschedules;
-            total.buckets_scanned += c.buckets_scanned;
-            total.entries_compared += c.entries_compared;
-            total.overflow_migrations += c.overflow_migrations;
-            total.resizes += c.resizes;
+            total += s.engine_counters;
         }
         total
     }
@@ -880,6 +912,78 @@ mod tests {
             assert_eq!(got.2, reference.2, "event totals diverged");
             assert_eq!(got.3, reference.3, "message totals diverged");
         }
+    }
+
+    /// Every occupied payload slot belongs to exactly one queued entry.
+    fn assert_no_slot_leaks(eng: &ShardedEngine<Ping>) {
+        for (i, s) in eng.shards.iter().enumerate() {
+            let occupied = s.payloads.iter().filter(|p| p.is_some()).count();
+            assert_eq!(
+                s.payloads.len() - s.free.len(),
+                s.queue.len(),
+                "shard {i}: slab slots leaked"
+            );
+            assert_eq!(occupied, s.queue.len(), "shard {i}: free list disagrees");
+        }
+    }
+
+    #[test]
+    fn resumed_runs_are_partition_invariant_and_keep_the_unsplit_prefix() {
+        const HALF: u64 = HORIZON_US / 2;
+        let (unsplit, unsplit_finals, unsplit_events, unsplit_messages) = run_case(13, 1, 1);
+        let configs = [(1, 1), (3, 1), (3, 2), (4, 1), (4, 2)];
+        let mut resumed = Vec::new();
+        for (nshards, workers) in configs {
+            let mut eng = build(13, nshards, workers);
+            eng.run(SimTime::from_micros(HALF));
+            assert_no_slot_leaks(&eng);
+            // Payloads stay parked in the slab across the split.
+            assert!(eng.shards.iter().any(|s| s.queue.len() > 0));
+            eng.run(SimTime::from_micros(HORIZON_US));
+            assert_no_slot_leaks(&eng);
+            let finals: Vec<_> = eng.cells().map(|c| (c.ticks, c.received, c.acc)).collect();
+            let stream = eng.take_audit_stream();
+            // The split cuts one window at HALF and shifts the windows after
+            // it; every checkpoint before HALF is the unsplit run's.
+            let before = |c: &&Checkpoint| c.at.as_micros() < HALF;
+            assert!(stream.iter().filter(before).count() > 1);
+            assert!(
+                stream
+                    .iter()
+                    .filter(before)
+                    .eq(unsplit.iter().filter(before)),
+                "prefix diverged at {nshards} shards / {workers} workers"
+            );
+            // Ping's tick and message counts do not depend on event order.
+            assert_eq!(eng.events_executed(), unsplit_events);
+            assert_eq!(eng.messages_delivered(), unsplit_messages);
+            for (got, want) in finals.iter().zip(&unsplit_finals) {
+                assert_eq!((got.0, got.1), (want.0, want.1));
+            }
+            resumed.push((stream, finals));
+        }
+        for ((nshards, workers), (stream, finals)) in configs.iter().zip(&resumed) {
+            assert_eq!(
+                stream, &resumed[0].0,
+                "resumed digest stream diverged at {nshards} shards / {workers} workers"
+            );
+            assert_eq!(finals, &resumed[0].1, "resumed final states diverged");
+        }
+    }
+
+    #[test]
+    fn threaded_reruns_report_one_stall_counter_per_worker() {
+        let mut eng = build(8, 4, 2);
+        eng.run(SimTime::from_micros(HORIZON_US / 2));
+        eng.run(SimTime::from_micros(HORIZON_US));
+        assert_eq!(eng.worker_stalls().len(), 2);
+    }
+
+    #[test]
+    fn queue_entries_are_key_sized() {
+        // Payloads live in the slab, so the entry is three words whatever
+        // the message type weighs.
+        assert_eq!(std::mem::size_of::<ShardEvent>(), 24);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! so it can be sprinkled through hot simulation paths.
 
 use std::fmt;
+use std::ops::AddAssign;
 
 use crate::SimDuration;
 
@@ -268,6 +269,29 @@ pub struct EngineCounters {
     pub overflow_migrations: u64,
     /// Calendar rebuilds (grow, shrink, or re-anchor).
     pub resizes: u64,
+}
+
+/// Sums counters field by field. The destructuring names every field, so
+/// adding one to [`EngineCounters`] fails to compile until it is summed.
+impl AddAssign for EngineCounters {
+    fn add_assign(&mut self, rhs: Self) {
+        let EngineCounters {
+            events_executed,
+            handler_allocations,
+            periodic_reschedules,
+            buckets_scanned,
+            entries_compared,
+            overflow_migrations,
+            resizes,
+        } = rhs;
+        self.events_executed += events_executed;
+        self.handler_allocations += handler_allocations;
+        self.periodic_reschedules += periodic_reschedules;
+        self.buckets_scanned += buckets_scanned;
+        self.entries_compared += entries_compared;
+        self.overflow_migrations += overflow_migrations;
+        self.resizes += resizes;
+    }
 }
 
 impl fmt::Display for EngineCounters {

@@ -128,4 +128,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> scripts/bench_check.sh"
 scripts/bench_check.sh
 
+echo "==> perfbench cell_month (seed 53, recorded fingerprint)"
+# The repo benchmark's cell_month workload drives 2 000 hosts through the
+# serial and then the sharded engine and compares the digest stream with
+# the fingerprint recorded under perfbench/; one short run gates both
+# engines' queue order at the default size.
+if ! perf_out="$(CARGO_TARGET_DIR=.bench_build cargo run --release \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload cell_month --seed 53 --seconds 1 --trace 0 2>&1)"; then
+    echo "FAIL: perfbench cell_month exited non-zero" >&2
+    echo "$perf_out" | tail -20 >&2
+    exit 1
+fi
+if ! grep -q '^baseline: matches the recorded fingerprint' <<< "$perf_out"; then
+    echo "FAIL: perfbench cell_month did not match its recorded fingerprint" >&2
+    echo "$perf_out" | tail -20 >&2
+    exit 1
+fi
+
 echo "==> CI gate OK"
