@@ -26,5 +26,6 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-lint:
+# Clippy first: it holds the hasher and wall-clock bans (clippy.toml).
+lint: clippy
 	cargo run -q -p sprite_lint -- crates src tests examples

@@ -22,7 +22,6 @@
 //! [`CostModel`](sprite_net::CostModel) and returns its simulated completion
 //! time.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

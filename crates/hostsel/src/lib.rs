@@ -15,7 +15,6 @@
 //! chosen peers so selection becomes a local, allocation-free lookup over
 //! a bounded age-stamped [`LoadCache`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

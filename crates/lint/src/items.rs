@@ -5,8 +5,7 @@
 //! identifier set their bodies mention, and `impl`-level constants — from
 //! the token stream. It is deliberately *not* a Rust AST: the semantic
 //! rules only ever ask "does this body mention that name?", so a body is
-//! stored as a sorted, deduplicated identifier set, which also makes the
-//! skeleton cheap to cache (see [`crate::cache`]).
+//! stored as a sorted, deduplicated identifier set.
 
 /// A named struct field or enum variant, with its declaration line.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -531,10 +531,10 @@ mod tests {
 
     #[test]
     fn allow_directives_are_harvested_with_line_spans() {
-        let src = "// lint: allow(no-wall-clock)\nlet x = 1;\n/* lint: allow(a, b)\n */\n";
+        let src = "// lint: allow(no-unwrap-on-transport)\nlet x = 1;\n/* lint: allow(a, b)\n */\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 2);
-        assert_eq!(lexed.allows[0].rules, vec!["no-wall-clock"]);
+        assert_eq!(lexed.allows[0].rules, vec!["no-unwrap-on-transport"]);
         assert_eq!(
             (lexed.allows[0].start_line, lexed.allows[0].end_line),
             (1, 1)
@@ -549,15 +549,15 @@ mod tests {
     #[test]
     fn doc_comments_do_not_yield_allow_directives() {
         let src = "\
-/// Suppress with `lint: allow(no-wall-clock)`.
-//! Or `lint: allow(no-default-hasher)`.
+/// Suppress with `lint: allow(no-unwrap-on-transport)`.
+//! Or `lint: allow(digest-field-coverage)`.
 /** Or `lint: allow(all)`. */
-// lint: allow(no-raw-net-send)
+// lint: allow(stats-merge-coverage)
 let x = 1;
 ";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1, "only the plain comment counts");
-        assert_eq!(lexed.allows[0].rules, vec!["no-raw-net-send"]);
+        assert_eq!(lexed.allows[0].rules, vec!["stats-merge-coverage"]);
     }
 
     #[test]

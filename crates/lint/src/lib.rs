@@ -1,23 +1,25 @@
-//! `sprite_lint` — offline static analysis for the workspace's
-//! determinism invariants.
+//! `sprite_lint` — offline static analysis for the determinism
+//! invariants that the toolchain cannot check.
 //!
 //! The reproduction's results are only checkable because serial and
-//! `--jobs N` runs replay byte-identically; that property rests on source
-//! invariants (deterministic hashers, typed transport, no wall clock)
-//! that used to be guarded by three `grep -rE` lints in `scripts/ci.sh`.
-//! This crate replaces them with a real analyzer, in two layers:
+//! `--jobs N` runs replay byte-identically. Most of the source invariants
+//! behind that are enforced by the toolchain itself: clippy's
+//! `disallowed-types` list in the root `clippy.toml` bans the randomized
+//! std hashers and the wall clock, `[workspace.lints.rust]` forbids
+//! `unsafe` in every member crate, and the raw `Network` is private to
+//! `sprite-net`, so every send goes through the typed `Transport`. This
+//! crate keeps the checks nothing else can do, in two layers:
 //!
 //! - **Token rules** ([`rules`]): per-file checks over the token stream
-//!   from the lexer ([`lexer`]).
+//!   from the lexer ([`lexer`]) — no `unwrap`/`expect` on a transport
+//!   result, and no unordered map iteration into scheduling.
 //! - **Semantic rules** ([`semantic`]): workspace-level checks over an
 //!   item graph ([`items`]) recovered by a lightweight parser
 //!   ([`parser`]) — digest-field coverage, RPC wire-table coverage, and
 //!   stats merge coverage, the invariant surfaces that drift silently.
 //!
-//! The scan driver ([`scan`]) analyzes files in parallel with a per-file
-//! content-hash cache ([`cache`]) under `target/lint-cache`; the semantic
-//! pass re-runs over the merged item graph every scan, so warm and cold
-//! scans produce byte-identical output.
+//! [`check_paths`] reads and analyzes the files one after another in path
+//! order, then runs the semantic pass over the merged item graph.
 //!
 //! Run it over the workspace with:
 //!
@@ -36,19 +38,17 @@
 //! suppressions cannot accumulate. Rule IDs are listed in
 //! [`rules::ALL_RULES`]; see `DESIGN.md` for the rule table.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod items;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 pub mod semantic;
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-pub use cache::CachedAnalysis;
 pub use rules::{Diagnostic, ALL_RULES};
 
 /// Field-level alias → semantic rule it suppresses.
@@ -75,13 +75,6 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// Merges another outcome into this one.
-    pub fn absorb(&mut self, other: Outcome) {
-        self.diagnostics.extend(other.diagnostics);
-        self.suppressed.extend(other.suppressed);
-        self.files += other.files;
-    }
-
     /// Sorts diagnostics for stable reporting.
     pub fn sort(&mut self) {
         let key = |d: &Diagnostic| (d.file.clone(), d.line, d.rule);
@@ -100,14 +93,17 @@ impl Outcome {
     }
 }
 
-/// One file's per-file analysis: the pure-in-content part
-/// ([`CachedAnalysis`]) plus the workspace-relative path it came from.
+/// One file's per-file analysis: everything derived from its text alone.
 #[derive(Debug)]
 pub struct FileAnalysis {
     /// Workspace-relative path with forward slashes.
     pub path: String,
-    /// Raw diagnostics, allow directives, and the item skeleton.
-    pub data: CachedAnalysis,
+    /// Raw (pre-suppression) token-rule diagnostics.
+    pub raw: Vec<Diagnostic>,
+    /// Allow directives harvested from comments.
+    pub allows: Vec<lexer::AllowDirective>,
+    /// The item skeleton.
+    pub items: items::FileItems,
 }
 
 /// Analyzes one file's source text: lexes once, runs the token rules, and
@@ -119,11 +115,9 @@ pub fn analyze_source(path: &str, src: &str) -> FileAnalysis {
     rules::check_tokens(path, &lexed.tokens, &mut raw);
     FileAnalysis {
         path: path.to_string(),
-        data: CachedAnalysis {
-            raw,
-            allows: lexed.allows,
-            items: parser::parse_items(&lexed.tokens),
-        },
+        raw,
+        allows: lexed.allows,
+        items: parser::parse_items(&lexed.tokens),
     }
 }
 
@@ -156,16 +150,16 @@ pub fn finish(mut analyses: Vec<FileAnalysis>) -> Outcome {
     // suppression, so move them out rather than clone).
     let graph: Vec<(String, items::FileItems)> = analyses
         .iter_mut()
-        .map(|a| (a.path.clone(), std::mem::take(&mut a.data.items)))
+        .map(|a| (a.path.clone(), std::mem::take(&mut a.items)))
         .collect();
     let mut all_raw: Vec<Diagnostic> = Vec::new();
     semantic::check_items(&graph, &mut all_raw);
     for a in &mut analyses {
-        all_raw.append(&mut a.data.raw);
+        all_raw.append(&mut a.raw);
     }
 
     // Per-(directive, rule-id) usage, indexed parallel to the allows.
-    let index: std::collections::HashMap<&str, usize> = analyses
+    let index: BTreeMap<&str, usize> = analyses
         .iter()
         .enumerate()
         .map(|(i, a)| (a.path.as_str(), i))
@@ -173,8 +167,7 @@ pub fn finish(mut analyses: Vec<FileAnalysis>) -> Outcome {
     let mut used: Vec<Vec<Vec<bool>>> = analyses
         .iter()
         .map(|a| {
-            a.data
-                .allows
+            a.allows
                 .iter()
                 .map(|al| vec![false; al.rules.len()])
                 .collect()
@@ -184,7 +177,7 @@ pub fn finish(mut analyses: Vec<FileAnalysis>) -> Outcome {
     for d in all_raw {
         let mut suppressed = false;
         if let Some(&fi) = index.get(d.file.as_str()) {
-            for (ai, al) in analyses[fi].data.allows.iter().enumerate() {
+            for (ai, al) in analyses[fi].allows.iter().enumerate() {
                 if d.line < al.start_line || d.line > al.end_line + 1 {
                     continue;
                 }
@@ -206,7 +199,7 @@ pub fn finish(mut analyses: Vec<FileAnalysis>) -> Outcome {
     // Hygiene pass: flag unknown and never-matched directives. These
     // diagnostics are themselves suppressible, but only by a blanket ID.
     for (fi, a) in analyses.iter().enumerate() {
-        for (ai, al) in a.data.allows.iter().enumerate() {
+        for (ai, al) in a.allows.iter().enumerate() {
             for (ri, r) in al.rules.iter().enumerate() {
                 let d = if !known_allow_id(r) {
                     Diagnostic {
@@ -232,7 +225,7 @@ pub fn finish(mut analyses: Vec<FileAnalysis>) -> Outcome {
                         ),
                     }
                 };
-                let blanket = a.data.allows.iter().any(|other| {
+                let blanket = a.allows.iter().any(|other| {
                     d.line >= other.start_line
                         && d.line <= other.end_line + 1
                         && other
@@ -295,22 +288,11 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Options for [`scan`].
-#[derive(Debug, Default)]
-pub struct ScanOptions {
-    /// Cache directory (usually `target/lint-cache`); `None` disables the
-    /// incremental cache.
-    pub cache_dir: Option<PathBuf>,
-    /// Worker threads; `0` picks from available parallelism.
-    pub threads: usize,
-}
-
-/// Analyzes every `.rs` file reachable from `paths` (files or
-/// directories, resolved relative to `root`), in parallel and through the
-/// content-hash cache when enabled, then runs [`finish`]. Output is
-/// deterministic: files are path-sorted and results reassembled by index,
-/// so thread count and cache state never change a byte.
-pub fn scan(root: &Path, paths: &[String], opts: &ScanOptions) -> std::io::Result<Outcome> {
+/// Checks every `.rs` file reachable from `paths` (files or directories,
+/// resolved relative to `root`): reads and analyzes them one after another
+/// in path order, then runs [`finish`]. A file that cannot be read fails
+/// the whole scan.
+pub fn check_paths(root: &Path, paths: &[String]) -> std::io::Result<Outcome> {
     let mut files: Vec<(String, PathBuf)> = Vec::new();
     for p in paths {
         let full = root.join(p);
@@ -331,117 +313,52 @@ pub fn scan(root: &Path, paths: &[String], opts: &ScanOptions) -> std::io::Resul
     files.sort_by(|a, b| a.0.cmp(&b.0));
     files.dedup_by(|a, b| a.0 == b.0);
 
-    let workers = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    } else {
-        opts.threads
+    let mut analyses = Vec::with_capacity(files.len());
+    for (rel, full) in &files {
+        let bytes = std::fs::read(full)?;
+        analyses.push(analyze_source(rel, &String::from_utf8_lossy(&bytes)));
     }
-    .clamp(1, files.len().max(1));
-
-    // Striped fan-out: worker w analyzes files w, w+workers, …; results
-    // carry their index so reassembly below is order-independent.
-    let cache_dir = opts.cache_dir.as_deref();
-    let mut slots: Vec<Option<FileAnalysis>> = Vec::new();
-    slots.resize_with(files.len(), || None);
-    let mut first_err: Option<std::io::Error> = None;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let files = &files;
-                s.spawn(move || {
-                    let mut done: Vec<(usize, std::io::Result<FileAnalysis>)> = Vec::new();
-                    let mut idx = w;
-                    while idx < files.len() {
-                        let (rel, full) = &files[idx];
-                        done.push((idx, analyze_file(rel, full, cache_dir)));
-                        idx += workers;
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (idx, res) in h.join().unwrap_or_default() {
-                match res {
-                    Ok(a) => slots[idx] = Some(a),
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    Ok(finish(slots.into_iter().flatten().collect()))
-}
-
-/// Analyzes one file through the cache: content-hash lookup, recompute on
-/// miss, store for next time.
-fn analyze_file(rel: &str, full: &Path, cache_dir: Option<&Path>) -> std::io::Result<FileAnalysis> {
-    let bytes = std::fs::read(full)?;
-    let hash = cache::fnv64(&bytes);
-    if let Some(dir) = cache_dir {
-        if let Some(mut data) = cache::load(dir, rel, hash) {
-            for d in &mut data.raw {
-                d.file = rel.to_string();
-            }
-            return Ok(FileAnalysis {
-                path: rel.to_string(),
-                data,
-            });
-        }
-    }
-    let src = String::from_utf8_lossy(&bytes);
-    let analysis = analyze_source(rel, &src);
-    if let Some(dir) = cache_dir {
-        cache::store(dir, rel, hash, &analysis.data);
-    }
-    Ok(analysis)
-}
-
-/// Checks every `.rs` file reachable from `paths` without the cache —
-/// a convenience wrapper over [`scan`] for tests and simple callers.
-pub fn check_paths(root: &Path, paths: &[String]) -> std::io::Result<Outcome> {
-    scan(root, paths, &ScanOptions::default())
+    Ok(finish(analyses))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One `no-unwrap-on-transport` violation per line it appears on.
+    const UNWRAP_SEND: &str = "net.send(op, now, a, b, None).unwrap();";
+
     #[test]
     fn suppression_covers_same_line_and_next_line() {
-        let src = "\
-// lint: allow(no-wall-clock)
-use std::time::Instant;
-use std::time::SystemTime;
-";
-        let out = check_source("crates/kernel/src/x.rs", src);
+        let src = format!("// lint: allow(no-unwrap-on-transport)\n{UNWRAP_SEND}\n{UNWRAP_SEND}\n");
+        let out = check_source("crates/kernel/src/x.rs", &src);
         assert_eq!(out.suppressed.len(), 1, "line after the comment is muted");
-        assert_eq!(out.count("no-wall-clock"), 1, "two lines after is not");
+        assert_eq!(
+            out.count("no-unwrap-on-transport"),
+            1,
+            "two lines after is not"
+        );
         assert_eq!(out.diagnostics[0].line, 3);
     }
 
     #[test]
     fn trailing_allow_on_the_same_line_works() {
-        let src = "use std::time::Instant; // lint: allow(no-wall-clock)\n";
-        let out = check_source("crates/kernel/src/x.rs", src);
-        assert_eq!(out.count("no-wall-clock"), 0);
+        let src = format!("{UNWRAP_SEND} // lint: allow(no-unwrap-on-transport)\n");
+        let out = check_source("crates/kernel/src/x.rs", &src);
+        assert_eq!(out.count("no-unwrap-on-transport"), 0);
         assert_eq!(out.suppressed.len(), 1);
     }
 
     #[test]
     fn allow_is_rule_specific() {
-        let src = "// lint: allow(no-default-hasher)\nuse std::time::Instant;\n";
-        let out = check_source("crates/kernel/src/x.rs", src);
-        assert_eq!(out.count("no-wall-clock"), 1, "a different rule stays live");
+        let src =
+            format!("// lint: allow(no-unordered-iteration-into-scheduling)\n{UNWRAP_SEND}\n");
+        let out = check_source("crates/kernel/src/x.rs", &src);
+        assert_eq!(
+            out.count("no-unwrap-on-transport"),
+            1,
+            "a different rule stays live"
+        );
         assert_eq!(
             out.count("unused-allow"),
             1,
@@ -459,8 +376,8 @@ use std::time::SystemTime;
 
     #[test]
     fn matched_directives_are_not_flagged_as_unused() {
-        let src = "use std::time::Instant; // lint: allow(no-wall-clock)\n";
-        let out = check_source("crates/kernel/src/x.rs", src);
+        let src = format!("{UNWRAP_SEND} // lint: allow(no-unwrap-on-transport)\n");
+        let out = check_source("crates/kernel/src/x.rs", &src);
         assert_eq!(out.count("unused-allow"), 0);
     }
 
@@ -473,7 +390,7 @@ use std::time::SystemTime;
 
     #[test]
     fn unused_allow_is_itself_suppressible_by_blanket() {
-        let src = "// lint: allow(no-wall-clock, unused-allow)\nlet x = 1;\n";
+        let src = "// lint: allow(no-unwrap-on-transport, unused-allow)\nlet x = 1;\n";
         let out = check_source("crates/kernel/src/x.rs", src);
         assert_eq!(out.count("unused-allow"), 0);
         assert_eq!(out.suppressed_count("unused-allow"), 1);
@@ -512,21 +429,23 @@ impl Cell {
 
     #[test]
     fn outcome_counts_by_rule() {
-        let src = "use std::time::Instant;\n";
-        let mut out = check_source("crates/kernel/src/x.rs", src);
+        let mut out = check_source("crates/kernel/src/x.rs", &format!("{UNWRAP_SEND}\n"));
         out.sort();
-        assert_eq!(out.count("no-wall-clock"), 1);
-        assert_eq!(out.count("no-default-hasher"), 0);
-        assert_eq!(out.suppressed_count("no-wall-clock"), 0);
+        assert_eq!(out.count("no-unwrap-on-transport"), 1);
+        assert_eq!(out.count("no-unordered-iteration-into-scheduling"), 0);
+        assert_eq!(out.suppressed_count("no-unwrap-on-transport"), 0);
+    }
+
+    /// A fresh scratch directory under the system temp dir.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let base = std::env::temp_dir().join(format!("sprite-lint-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        base
     }
 
     #[test]
     fn collect_rs_files_is_path_lexicographic() {
-        let base = std::env::temp_dir().join(format!(
-            "sprite-lint-sort-test-{:016x}",
-            cache::fnv64(b"collect_rs_files_is_path_lexicographic")
-        ));
-        let _ = std::fs::remove_dir_all(&base);
+        let base = scratch_dir("sort-test");
         for rel in ["b/z.rs", "b/a/m.rs", "a.rs", "c.rs", "b/b.rs"] {
             let p = base.join(rel);
             std::fs::create_dir_all(p.parent().unwrap()).unwrap();
@@ -546,52 +465,34 @@ impl Cell {
     }
 
     #[test]
-    fn cold_and_warm_scans_agree_and_parallelism_is_invisible() {
-        let base = std::env::temp_dir().join(format!(
-            "sprite-lint-scan-test-{:016x}",
-            cache::fnv64(b"cold_and_warm_scans_agree")
-        ));
-        let _ = std::fs::remove_dir_all(&base);
+    fn check_paths_runs_token_and_semantic_rules_over_every_file() {
+        let base = scratch_dir("scan-test");
         std::fs::create_dir_all(base.join("crates/k/src")).unwrap();
         std::fs::write(
             base.join("crates/k/src/a.rs"),
-            "use std::time::Instant;\npub struct S { x: u64 }\n\
-             impl S { pub fn digest_into(&self, d: &mut D) { let _ = d; } }\n",
+            format!(
+                "{UNWRAP_SEND}\npub struct S {{ x: u64 }}\n\
+                 impl S {{ pub fn digest_into(&self, d: &mut D) {{ let _ = d; }} }}\n"
+            ),
         )
         .unwrap();
         std::fs::write(base.join("crates/k/src/b.rs"), "pub fn ok() {}\n").unwrap();
-        let cache_dir = base.join("target/lint-cache");
-        let render = |o: &Outcome| -> Vec<(String, usize, &'static str)> {
-            o.diagnostics
-                .iter()
-                .map(|d| (d.file.clone(), d.line, d.rule))
-                .collect()
-        };
-        let opts = |threads| ScanOptions {
-            cache_dir: Some(cache_dir.clone()),
-            threads,
-        };
-        let paths = vec!["crates".to_string()];
-        let cold = scan(&base, &paths, &opts(1)).unwrap();
-        assert!(
-            cache_dir.read_dir().unwrap().next().is_some(),
-            "cache filled"
+        let out = check_paths(&base, &["crates".to_string()]).unwrap();
+        let got: Vec<(&str, usize, &str)> = out
+            .diagnostics
+            .iter()
+            .map(|d| (d.file.as_str(), d.line, d.rule))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("crates/k/src/a.rs", 1, "no-unwrap-on-transport"),
+                ("crates/k/src/a.rs", 2, "digest-field-coverage"),
+            ]
         );
-        let warm = scan(&base, &paths, &opts(4)).unwrap();
-        let nocache = scan(
-            &base,
-            &paths,
-            &ScanOptions {
-                cache_dir: None,
-                threads: 3,
-            },
-        )
-        .unwrap();
-        assert_eq!(render(&cold), render(&warm), "cold vs warm");
-        assert_eq!(render(&cold), render(&nocache), "cached vs uncached");
-        assert_eq!(cold.count("no-wall-clock"), 1);
-        assert_eq!(cold.count("digest-field-coverage"), 1);
-        assert_eq!(cold.files, 2);
+        assert_eq!(out.files, 2);
+        let missing = check_paths(&base, &["crates/k/src/gone.rs".to_string()]);
+        assert!(missing.is_err(), "an unreadable file fails the scan");
         let _ = std::fs::remove_dir_all(&base);
     }
 }

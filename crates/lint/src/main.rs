@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run -q -p sprite_lint -- crates src tests examples
 //! cargo run -q -p sprite_lint -- --json crates
-//! cargo run -q -p sprite_lint -- --no-cache crates
 //! cargo run -q -p sprite_lint -- --bench-json BENCH_experiments.json crates src
 //! ```
 //!
@@ -12,30 +11,21 @@
 //! `file:line: [rule-id] message`; a summary goes to stderr.
 //! `--bench-json PATH` splices a `"lint"` section (per-rule counts) into
 //! an existing `BENCH_experiments.json` for the benchmark trajectory.
-//!
-//! Scans run the incremental driver: per-file analyses are cached under
-//! `target/lint-cache` keyed by content hash, and files are analyzed in
-//! parallel. Output is byte-identical regardless of cache state or thread
-//! count; `--no-cache` forces a full recompute.
-
-#![forbid(unsafe_code)]
 
 use std::path::Path;
 
-use sprite_lint::{scan, Outcome, ScanOptions, ALL_RULES};
+use sprite_lint::{check_paths, Outcome, ALL_RULES};
 
-const USAGE: &str = "usage: sprite_lint [--json] [--no-cache] [--bench-json PATH] PATHS...";
+const USAGE: &str = "usage: sprite_lint [--json] [--bench-json PATH] PATHS...";
 
 fn main() {
     let mut json = false;
-    let mut no_cache = false;
     let mut bench_json: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--no-cache" => no_cache = true,
             "--bench-json" => match args.next() {
                 Some(p) => bench_json = Some(p),
                 None => {
@@ -55,15 +45,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let opts = ScanOptions {
-        cache_dir: if no_cache {
-            None
-        } else {
-            Some(Path::new("target/lint-cache").to_path_buf())
-        },
-        threads: 0,
-    };
-    let outcome = match scan(Path::new("."), &paths, &opts) {
+    let outcome = match check_paths(Path::new("."), &paths) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("sprite_lint: {e}");

@@ -1,4 +1,6 @@
-//! The determinism lint rules.
+//! The token-level lint rules: the two determinism checks that follow a
+//! call chain or a loop header, which neither rustc's lints nor clippy's
+//! configuration can express.
 //!
 //! Each rule walks the token stream from [`crate::lexer`] and emits typed
 //! diagnostics. Because matching happens on tokens, not text, the rules
@@ -21,15 +23,6 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-/// Std types whose default hasher randomizes iteration order.
-const DEFAULT_HASHER_TYPES: &[&str] = &["HashMap", "HashSet", "RandomState"];
-/// Raw `Network` methods that bypass the typed `Transport` accounting.
-const RAW_NET_METHODS: &[&str] = &["rpc", "bulk", "datagram", "multicast"];
-/// Receiver bindings the raw-send rule watches. `net` is the workspace
-/// convention; the striped file-service modules (shard routing, replica
-/// push/invalidate) thread the same handle through helpers as `network`
-/// or `wire`, and a raw send is just as unaccounted under those names.
-const RAW_NET_RECEIVERS: &[&str] = &["net", "network", "wire"];
 /// Typed `Transport` send methods returning `Result<_, RpcError>`.
 const SEND_METHODS: &[&str] = &[
     "send",
@@ -39,8 +32,6 @@ const SEND_METHODS: &[&str] = &[
     "send_multicast",
     "stream_bulk",
 ];
-/// Wall-clock and ambient-entropy names banned from simulation crates.
-const WALL_CLOCK_NAMES: &[&str] = &["Instant", "SystemTime", "thread_rng"];
 /// Deterministic-map type names tracked by the iteration rule.
 const DET_MAP_TYPES: &[&str] = &["DetHashMap", "DetHashSet"];
 /// Methods that begin an iteration over a map.
@@ -101,12 +92,8 @@ const SCHED_CALLS: &[&str] = &[
 
 /// All rule IDs, in reporting order.
 pub const ALL_RULES: &[&str] = &[
-    "no-default-hasher",
-    "no-raw-net-send",
     "no-unwrap-on-transport",
-    "no-wall-clock",
     "no-unordered-iteration-into-scheduling",
-    "forbid-unsafe-code",
     "digest-field-coverage",
     "rpc-op-wire-coverage",
     "stats-merge-coverage",
@@ -116,19 +103,6 @@ pub const ALL_RULES: &[&str] = &[
 /// True if `path` (forward slashes) is inside directory `dir`.
 fn in_dir(path: &str, dir: &str) -> bool {
     path == dir || path.starts_with(&format!("{dir}/"))
-}
-
-/// True if `path` is a crate root (library, binary main, or a `src/bin`
-/// target) — the files where `#![forbid(unsafe_code)]` must live.
-fn is_crate_root(path: &str) -> bool {
-    if path.ends_with("src/lib.rs") || path.ends_with("src/main.rs") || path == "src/lib.rs" {
-        return true;
-    }
-    if let Some(pos) = path.rfind("src/bin/") {
-        let rest = &path[pos + "src/bin/".len()..];
-        return rest.ends_with(".rs") && !rest.contains('/');
-    }
-    false
 }
 
 /// Index of the `)` matching the `(` at `open`, by depth counting.
@@ -149,64 +123,8 @@ fn matching_paren(toks: &[Token], open: usize) -> Option<usize> {
 
 /// Runs every rule over one file's token stream.
 pub fn check_tokens(path: &str, toks: &[Token], out: &mut Vec<Diagnostic>) {
-    no_default_hasher(path, toks, out);
-    no_raw_net_send(path, toks, out);
     no_unwrap_on_transport(path, toks, out);
-    no_wall_clock(path, toks, out);
     no_unordered_iteration(path, toks, out);
-    forbid_unsafe_code(path, toks, out);
-}
-
-/// `no-default-hasher`: std `HashMap`/`HashSet`/`RandomState` randomize
-/// iteration order per process, which breaks replay. Only `crates/sim`
-/// (which wraps them behind `DetHashMap`/`DetHashSet`) and the linter
-/// itself may name them.
-fn no_default_hasher(path: &str, toks: &[Token], out: &mut Vec<Diagnostic>) {
-    if in_dir(path, "crates/sim") || in_dir(path, "crates/lint") {
-        return;
-    }
-    for t in toks {
-        if t.kind == TokenKind::Ident && DEFAULT_HASHER_TYPES.contains(&t.text.as_str()) {
-            out.push(Diagnostic {
-                rule: "no-default-hasher",
-                file: path.to_string(),
-                line: t.line,
-                message: format!(
-                    "std {} uses a randomized hasher; use sprite_sim::DetHashMap/DetHashSet",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// `no-raw-net-send`: raw `Network::{rpc,bulk,datagram,multicast}` calls
-/// bypass the typed `Transport`, so the per-op `RpcTable` would stop
-/// accounting for all wire traffic. Only `crates/net` may use them.
-fn no_raw_net_send(path: &str, toks: &[Token], out: &mut Vec<Diagnostic>) {
-    if in_dir(path, "crates/net") || in_dir(path, "crates/lint") {
-        return;
-    }
-    for i in 0..toks.len() {
-        if toks[i].kind == TokenKind::Ident
-            && RAW_NET_RECEIVERS.contains(&toks[i].text.as_str())
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
-            && toks.get(i + 2).is_some_and(|t| {
-                t.kind == TokenKind::Ident && RAW_NET_METHODS.contains(&t.text.as_str())
-            })
-            && toks.get(i + 3).is_some_and(|t| t.is_punct('('))
-        {
-            out.push(Diagnostic {
-                rule: "no-raw-net-send",
-                file: path.to_string(),
-                line: toks[i + 2].line,
-                message: format!(
-                    "raw Network::{} bypasses the typed transport; route it through sprite_net::Transport",
-                    toks[i + 2].text
-                ),
-            });
-        }
-    }
 }
 
 /// `no-unwrap-on-transport`: every `Transport` send returns
@@ -255,28 +173,6 @@ fn no_unwrap_on_transport(path: &str, toks: &[Token], out: &mut Vec<Diagnostic>)
                 Some(c) => close = c,
                 None => break,
             }
-        }
-    }
-}
-
-/// `no-wall-clock`: `Instant`/`SystemTime`/`thread_rng` read ambient
-/// host state, which can never appear in simulation results. The bench
-/// harness (wall timing on stderr) and the linter are exempt.
-fn no_wall_clock(path: &str, toks: &[Token], out: &mut Vec<Diagnostic>) {
-    if !in_dir(path, "crates") || in_dir(path, "crates/bench") || in_dir(path, "crates/lint") {
-        return;
-    }
-    for t in toks {
-        if t.kind == TokenKind::Ident && WALL_CLOCK_NAMES.contains(&t.text.as_str()) {
-            out.push(Diagnostic {
-                rule: "no-wall-clock",
-                file: path.to_string(),
-                line: t.line,
-                message: format!(
-                    "{} reads ambient host state; simulation crates must use SimTime/DetRng",
-                    t.text
-                ),
-            });
         }
     }
 }
@@ -451,32 +347,5 @@ fn path_ends_in_det_type(toks: &[Token], start: usize) -> bool {
         } else {
             return false;
         }
-    }
-}
-
-/// `forbid-unsafe-code`: every crate root must carry
-/// `#![forbid(unsafe_code)]` so the determinism argument never has to
-/// reason about raw-pointer aliasing.
-fn forbid_unsafe_code(path: &str, toks: &[Token], out: &mut Vec<Diagnostic>) {
-    if !is_crate_root(path) {
-        return;
-    }
-    let has = (0..toks.len()).any(|i| {
-        toks[i].is_punct('#')
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct('['))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident("forbid"))
-            && toks.get(i + 4).is_some_and(|t| t.is_punct('('))
-            && toks.get(i + 5).is_some_and(|t| t.is_ident("unsafe_code"))
-            && toks.get(i + 6).is_some_and(|t| t.is_punct(')'))
-            && toks.get(i + 7).is_some_and(|t| t.is_punct(']'))
-    });
-    if !has {
-        out.push(Diagnostic {
-            rule: "forbid-unsafe-code",
-            file: path.to_string(),
-            line: 1,
-            message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-        });
     }
 }

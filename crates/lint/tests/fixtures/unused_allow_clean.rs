@@ -1,9 +1,8 @@
-//! unused-allow, clean: the directive actually suppresses a diagnostic,
+//! unused-allow, clean: each directive actually suppresses a diagnostic,
 //! so it is used, not stale.
 
-// lint: allow(no-wall-clock) replay clock is injected by the test driver
-use std::time::Instant;
-
-pub fn tick(now: Instant) -> Instant { // lint: allow(no-wall-clock) type only, no ambient reads
-    now
+pub fn drive(net: &mut Transport, now: SimTime, a: HostId, b: HostId) {
+    // lint: allow(no-unwrap-on-transport) the test driver injects no faults
+    net.send(RpcOp::FsOpen, now, a, b, None).unwrap();
+    net.send(RpcOp::FsClose, now, a, b, None).unwrap(); // lint: allow(no-unwrap-on-transport) same
 }

@@ -4,5 +4,5 @@
 // lint: allow(no-such-rule)
 pub fn misspelled() {}
 
-// lint: allow(no-wall-clock)
+// lint: allow(no-unwrap-on-transport)
 pub fn nothing_to_suppress() {}

@@ -1,13 +1,16 @@
 //! Differential check: for every [`RpcOp`], driving the typed [`Transport`]
-//! and the raw [`Network`] with the same inputs must produce identical
-//! completion times and identical [`NetStats`]. This is the refactor's
-//! core contract — the transport is an accounting layer, not a timing
-//! change. A second differential pins the zero-fault regression: a
-//! [`DropPolicy`] at rate 0 must charge exactly [`Ideal`] timing, which is
-//! what keeps the golden `experiments_output.txt` byte-stable.
+//! and the crate-private raw [`Network`] with the same inputs must produce
+//! identical completion times and identical [`NetStats`](crate::NetStats).
+//! This is the refactor's core contract — the transport is an accounting
+//! layer, not a timing change. A second differential pins the zero-fault
+//! regression: a [`DropPolicy`] at rate 0 must charge exactly
+//! [`Ideal`](crate::Ideal) timing, which is what keeps the golden
+//! `experiments_output.txt` byte-stable.
 
-use sprite_net::{wire_size, CostModel, DropPolicy, HostId, Network, RpcOp, Transport};
 use sprite_sim::{SimDuration, SimTime};
+
+use crate::network::Network;
+use crate::{wire_size, CostModel, DropPolicy, HostId, RpcOp, Transport};
 
 const HOSTS: usize = 6;
 
@@ -113,7 +116,7 @@ fn every_op_times_identically_to_the_raw_network() {
 }
 
 /// The zero-fault regression gate: a drop policy with rate 0 must charge
-/// completion times identical to [`Ideal`](sprite_net::Ideal) for every op,
+/// completion times identical to [`Ideal`](crate::Ideal) for every op,
 /// record zero fault events, and keep identical traffic counters.
 #[test]
 fn drop_policy_at_rate_zero_matches_ideal_per_op() {

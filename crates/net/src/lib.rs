@@ -4,27 +4,31 @@
 //! Sprite's kernels "work closely together using a remote-procedure-call
 //! mechanism" \[Wel86\]; every higher layer of this reproduction (file system,
 //! virtual memory, migration, host selection) moves data exclusively through
-//! [`Network`]. The network is a *contended* resource — transfers serialize
-//! on the wire and busy server CPUs queue — because contention is where the
-//! paper's most interesting performance shapes come from.
+//! the typed [`Transport`]. The network under it is a *contended* resource —
+//! transfers serialize on the wire and busy server CPUs queue — because
+//! contention is where the paper's most interesting performance shapes come
+//! from. The raw network is crate-private, so no send can bypass the
+//! transport's per-op accounting.
 //!
 //! # Examples
 //!
 //! ```
-//! use sprite_net::{CostModel, HostId, Network};
+//! use sprite_net::{CostModel, HostId, RpcOp, Transport};
 //! use sprite_sim::SimTime;
 //!
-//! let mut net = Network::new(CostModel::sun3(), 8);
+//! let mut net = Transport::new(CostModel::sun3(), 8);
 //! let client = HostId::new(3);
 //! let server = HostId::new(0);
-//! let reply = net.rpc(SimTime::ZERO, client, server, 128, 1024, None);
+//! let reply = net.send(RpcOp::FsOpen, SimTime::ZERO, client, server, None)?;
 //! println!("RPC took {}", reply.elapsed(SimTime::ZERO));
+//! # Ok::<(), sprite_net::RpcError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;
+#[cfg(test)]
+mod differential;
 mod fault;
 mod host;
 mod network;
@@ -39,7 +43,7 @@ pub use fault::{
     RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RPC_TIMEOUT,
 };
 pub use host::HostId;
-pub use network::{Delivery, MessageKind, NetStats, Network};
+pub use network::{Delivery, NetStats};
 pub use partition::HostPartition;
 pub use shardlink::ShardLink;
 pub use transport::{

@@ -25,7 +25,7 @@ use crate::{CostModel, HostId};
 
 /// Message categories, tallied separately for the evaluation tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageKind {
+pub(crate) enum MessageKind {
     /// An RPC request.
     Request,
     /// An RPC reply.
@@ -65,21 +65,27 @@ impl Delivery {
 
 /// The shared network connecting every simulated host.
 ///
+/// Crate-private: every send from outside this crate goes through
+/// [`Transport`](crate::Transport), which charges this network with
+/// unchanged arguments and books the send in its per-op table.
+///
 /// # Examples
 ///
 /// ```
-/// use sprite_net::{CostModel, HostId, Network};
+/// use sprite_net::{CostModel, HostId, RpcOp, Transport};
 /// use sprite_sim::SimTime;
 ///
-/// let mut net = Network::new(CostModel::sun3(), 4);
+/// let mut net = Transport::new(CostModel::sun3(), 4);
 /// let t0 = SimTime::ZERO;
-/// let done = net.rpc(t0, HostId::new(0), HostId::new(1), 64, 64, None);
+/// // `FsClose` carries a 64-byte request and a 64-byte reply.
+/// let done = net.send(RpcOp::FsClose, t0, HostId::new(0), HostId::new(1), None)?;
 /// // A small RPC takes ~2.6ms plus wire time for the payloads.
 /// assert!(done.elapsed(t0).as_micros() > 2_600);
 /// assert_eq!(net.stats().rpcs, 1);
+/// # Ok::<(), sprite_net::RpcError>(())
 /// ```
 #[derive(Debug)]
-pub struct Network {
+pub(crate) struct Network {
     cost: CostModel, // lint: allow(digest-skip) immutable latency/bandwidth constants
     wire: SlottedResource,
     hosts: usize, // lint: allow(digest-skip) immutable cluster size
@@ -195,7 +201,9 @@ impl Network {
         Delivery { done: replied }
     }
 
-    /// A plain RPC with no extra server work.
+    /// A plain RPC with no extra server work. Only tests call it; the
+    /// transport always goes through [`Network::rpc_with_service`].
+    #[cfg(test)]
     pub fn rpc(
         &mut self,
         now: SimTime,

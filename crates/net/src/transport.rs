@@ -37,7 +37,8 @@ use crate::fault::{
     backoff_after, FaultStats, LinkVerdict, RpcError, RpcFailure, RpcResult, MAX_SEND_ATTEMPTS,
     RPC_TIMEOUT,
 };
-use crate::{CostModel, Delivery, HostId, NetStats, Network, PAGE_SIZE};
+use crate::network::Network;
+use crate::{CostModel, Delivery, HostId, NetStats, PAGE_SIZE};
 
 /// Smallest message the protocol sends: an RPC header with a status word
 /// (also the wire's minimum charged payload).

@@ -7,7 +7,6 @@
 //! server's CPU bends the curve — the two effects the paper's pmake
 //! evaluation (Ch. 7.4) is about.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod graph;

@@ -11,9 +11,9 @@
 //! endianness of results (the hash is computed over little-endian words, so
 //! values are portable).
 //!
-//! The CI determinism lint (`scripts/ci.sh`) rejects
-//! `std::collections::HashMap`/`HashSet` anywhere else in the workspace;
-//! simulation state uses [`DetHashMap`] / [`DetHashSet`] instead.
+//! The root `clippy.toml` lists `std::collections::HashMap`/`HashSet` as
+//! `disallowed-types`, so clippy rejects them anywhere else in the
+//! workspace; simulation state uses [`DetHashMap`] / [`DetHashSet`] instead.
 //!
 //! Every table operation routes through [`DetState::build_hasher`], which
 //! bumps a thread-local probe counter — the data-plane analogue of
@@ -21,6 +21,11 @@
 //! hashing a scenario actually does. Read it with [`hash_probes`], or
 //! [`take_hash_probes`] to read-and-reset (worker threads flush into an
 //! aggregate this way).
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the deterministic wrappers are defined over the std tables"
+)]
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};

@@ -8,7 +8,6 @@
 //! ([`CompileWorkload`]) and independent simulation sweeps
 //! ([`simulation_batch`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod activity;

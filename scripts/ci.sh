@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI gate for the Sprite migration reproduction.
 #
-#   scripts/ci.sh          # full gate: build, tests, fmt --check, clippy
-#   scripts/ci.sh --quick  # tier-1 only: release build + tests
+#   scripts/ci.sh          # full gate: quick mode plus chaos suite, fmt --check,
+#                          # bench_check.sh and the perfbench fingerprint
+#   scripts/ci.sh --quick  # release build, tests, clippy, sprite_lint, smokes
 #
 # Everything runs offline: the workspace has zero external dependencies, so
 # no network access (and no pre-populated registry cache) is required.
@@ -15,41 +16,34 @@ if [[ "${1:-}" == "--quick" ]]; then
     quick=1
 fi
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace"
+# --workspace: the smokes below run target/release/experiments, which a
+# bare `cargo build --release` (the root facade package only) never builds.
+cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> sprite_lint (determinism invariants + semantic coverage)"
-# The static analyzer replaces the old grep lints: deterministic hashers,
-# typed transport sends, no unwrap/expect on transport results (including
-# multiline chains), no wall clock in simulation crates, no unordered map
-# iteration into scheduling, and #![forbid(unsafe_code)] in crate roots.
-# On top of the token rules, the semantic pass checks the item graph:
-# digest-field-coverage (every field of a digest_into type is folded or
-# carries an annotated digest-skip), rpc-op-wire-coverage (every RpcOp
-# variant appears in wire_size()/label()/ALL), stats-merge-coverage
-# (every *Stats field survives merge and JSON emission), and unused-allow
-# (stale or misspelled suppressions). Rule IDs and the allow syntax are
-# documented in DESIGN.md; any non-allowed diagnostic fails the gate.
-cargo run -q -p sprite_lint -- crates src tests examples
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# Clippy holds two determinism bans through `disallowed-types` in the root
+# clippy.toml: std HashMap/HashSet/RandomState (randomized hasher) and
+# std::time::Instant/SystemTime (wall clock). crates/bench has its own
+# clippy.toml that keeps only the hasher entries. `unsafe` is a compile
+# error through `[workspace.lints.rust] unsafe_code = "forbid"`.
+cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> sprite_lint cache coherence (cold vs warm scan)"
-# The incremental driver caches per-file analyses under target/lint-cache
-# keyed by content hash; the semantic pass re-runs every scan. A warm scan
-# must therefore be byte-identical to a cold one.
-lint_tmp="$(mktemp -d)"
-rm -rf target/lint-cache
-cargo run -q -p sprite_lint -- --json crates src tests examples > "$lint_tmp/cold.json"
-cargo run -q -p sprite_lint -- --json crates src tests examples > "$lint_tmp/warm.json"
-if ! cmp -s "$lint_tmp/cold.json" "$lint_tmp/warm.json"; then
-    echo "FAIL: lint --json output diverged between cold and warm cache" >&2
-    diff "$lint_tmp/cold.json" "$lint_tmp/warm.json" | head -40 >&2 || true
-    rm -rf "$lint_tmp"
-    exit 1
-fi
-rm -rf "$lint_tmp"
+echo "==> sprite_lint (determinism invariants + semantic coverage)"
+# The static analyzer keeps the checks rustc, clippy and visibility cannot
+# do. Token rules: no unwrap/expect on transport results (including
+# multiline chains) and no unordered map iteration into scheduling. The
+# semantic pass checks the item graph: digest-field-coverage (every field
+# of a digest_into type is folded or carries an annotated digest-skip),
+# rpc-op-wire-coverage (every RpcOp variant appears in
+# wire_size()/label()/ALL), stats-merge-coverage (every *Stats field
+# survives merge and JSON emission), and unused-allow (stale or
+# misspelled suppressions). Rule IDs and the allow syntax are documented
+# in DESIGN.md; any non-allowed diagnostic fails the gate.
+cargo run -q -p sprite_lint -- crates src tests examples
 
 echo "==> m02 smoke (200 hosts, 1 simulated day, 2 shards)"
 # The partitioned-parallel engine compares its sharded digest stream
@@ -111,7 +105,7 @@ if ! grep -q 'migration takes over at mtbf' "$sweep_tmp/f02_1.txt"; then
 fi
 
 if [[ "$quick" == 1 ]]; then
-    echo "==> tier-1 OK (quick mode; skipped fmt/clippy)"
+    echo "==> tier-1 OK (quick mode; skipped chaos suite, fmt, bench_check, perfbench)"
     exit 0
 fi
 
@@ -121,9 +115,6 @@ cargo test -q --test fault_properties
 
 echo "==> cargo fmt --check"
 cargo fmt --check
-
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> scripts/bench_check.sh"
 scripts/bench_check.sh
