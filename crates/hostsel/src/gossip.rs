@@ -48,7 +48,18 @@ pub struct GossipDissemination {
     max_age: SimDuration,
     rng: DetRng,
     /// caches[h] = what host h believes about its peers (self included).
+    /// Touched only after [`Self::apply_own`] has written `own[h]`.
     caches: Vec<LoadCache>,
+    /// own[h] = host h's latest self-report not yet written into
+    /// caches[h]. Every report refreshes the reporter's own entry, but
+    /// most reports are suppressed and nothing reads caches[h] until h
+    /// gossips, selects, releases or receives a push. Writing the entry
+    /// then, instead of once a minute, leaves the cache exactly as the
+    /// eager writes would: successive inserts of one host into a cache
+    /// nobody touched in between end as the freshest of them alone would
+    /// (it lands in the slot the first accepted one would take, and a
+    /// staler one is rejected after it either way).
+    own: Vec<Option<CacheEntry>>,
     last_gossiped_available: Vec<Option<bool>>,
     reports_since_gossip: Vec<u32>,
     batch_scratch: Vec<CacheEntry>,
@@ -79,6 +90,7 @@ impl GossipDissemination {
             max_age: SimDuration::from_secs(15 * 60),
             rng: DetRng::seed_from(seed),
             caches: vec![LoadCache::new(slots); hosts],
+            own: vec![None; hosts],
             last_gossiped_available: vec![None; hosts],
             reports_since_gossip: vec![0; hosts],
             batch_scratch: Vec::with_capacity(batch.max(1)),
@@ -104,12 +116,14 @@ impl GossipDissemination {
     pub fn set_cache_capacity(&mut self, slots: usize) {
         let slots = slots.max(1);
         self.caches = vec![LoadCache::new(slots); self.hosts];
+        self.own = vec![None; self.hosts];
         self.ranker = Ranker::with_capacity(slots);
     }
 
     /// Injects one observation directly into `owner`'s cache — warmup for
     /// drivers and benchmarks (bypasses the wire on purpose).
     pub fn prime(&mut self, owner: HostId, info: HostInfo, written: SimTime) {
+        self.apply_own(owner.index());
         self.caches[owner.index()].insert(CacheEntry { info, written });
     }
 
@@ -120,7 +134,18 @@ impl GossipDissemination {
 
     /// Entries currently cached by `owner`.
     pub fn cached_entries(&self, owner: HostId) -> usize {
-        self.caches[owner.index()].len()
+        let cache = &self.caches[owner.index()];
+        let own_takes_a_free_slot = self.own[owner.index()]
+            .is_some_and(|e| cache.get(e.info.host).is_none() && cache.len() < cache.capacity());
+        cache.len() + usize::from(own_takes_a_free_slot)
+    }
+
+    /// Writes host `h`'s pending self-report into its cache; every read
+    /// or write of `caches[h]` comes after this.
+    fn apply_own(&mut self, h: usize) {
+        if let Some(e) = self.own[h].take() {
+            self.caches[h].insert(e);
+        }
     }
 }
 
@@ -131,20 +156,26 @@ impl HostSelector for GossipDissemination {
 
     fn report(&mut self, net: &mut Transport, now: SimTime, info: HostInfo) -> SimTime {
         let h = info.host.index();
-        self.caches[h].insert(CacheEntry { info, written: now });
+        // A staler self-report than the pending one would be rejected once
+        // the pending one is stored, so only a fresher or equal one
+        // replaces it.
+        if self.own[h].is_none_or(|e| now >= e.written) {
+            self.own[h] = Some(CacheEntry { info, written: now });
+        }
         let avail = self.policy.is_available(&info);
         let changed = self.last_gossiped_available[h]
             .map(|prev| prev != avail)
             .unwrap_or(true);
         self.reports_since_gossip[h] += 1;
         if !changed && self.reports_since_gossip[h] < self.refresh_every {
-            // Suppressed: the local cache refreshed above at no wire cost.
+            // Suppressed: the self-report waits in `own` at no wire cost.
             return now;
         }
         self.reports_since_gossip[h] = 0;
         self.last_gossiped_available[h] = Some(avail);
         // One batch serves every peer this round: the sender's freshest
         // entries, its own (just refreshed) state guaranteed aboard.
+        self.apply_own(h);
         self.caches[h].freshest_into(self.batch, &mut self.batch_scratch);
         let bytes = CONTROL_BYTES + self.batch_scratch.len() as u64 * GOSSIP_ENTRY_BYTES;
         let mut t = now;
@@ -158,6 +189,7 @@ impl HostSelector for GossipDissemination {
                 Ok(d) => {
                     t = d.done;
                     let pi = peer.index();
+                    self.apply_own(pi);
                     for e in &self.batch_scratch {
                         if e.info.host != peer {
                             self.caches[pi].insert(*e);
@@ -184,6 +216,7 @@ impl HostSelector for GossipDissemination {
         // A bounded in-memory scan, not a round trip: charge one table
         // scan like the probabilistic selector.
         let t = now + SimDuration::from_micros(200);
+        self.apply_own(requester.index());
         // Rank idlest-first among entries young enough to trust: staleness
         // is bounded by `max_age`, and within that window the longest-idle
         // host is the best bet, as for the server designs [ML87].
@@ -210,9 +243,7 @@ impl HostSelector for GossipDissemination {
                 self.stats.info_age.record_duration(e.age(now));
                 // Anticipate load locally so this requester will not dump
                 // its next process on the same host [BSW89].
-                if let Some(c) = self.caches[requester.index()].get_mut(e.info.host) {
-                    c.info.load += 1.0;
-                }
+                self.caches[requester.index()].adjust_load(e.info.host, |l| l + 1.0);
                 Some(e.info.host)
             }
             None => {
@@ -233,9 +264,8 @@ impl HostSelector for GossipDissemination {
         requester: HostId,
         host: HostId,
     ) -> SimTime {
-        if let Some(c) = self.caches[requester.index()].get_mut(host) {
-            c.info.load = (c.info.load - 1.0).max(0.0);
-        }
+        self.apply_own(requester.index());
+        self.caches[requester.index()].adjust_load(host, |l| (l - 1.0).max(0.0));
         now
     }
 
@@ -376,6 +406,86 @@ mod tests {
         assert_eq!(pick, Some(h(2)));
         assert_eq!(s.stats().info_age.count(), 1);
         assert!((s.stats().info_age.mean() - 40.0).abs() < 1e-9);
+    }
+
+    /// Deferring each host's self-report until its cache is next touched
+    /// must be invisible: a twin that writes every self-report at once
+    /// (as if `apply_own` ran after every report) sees the same picks,
+    /// times, counts and cache slots. Reports arrive slightly out of time
+    /// order and availability flips often, so the pending entry is both
+    /// replaced and kept, and caches fill and evict.
+    #[test]
+    fn deferred_self_reports_match_eager_writes() {
+        for seed in 0..6u64 {
+            let hosts = 12;
+            let new = || {
+                let mut s =
+                    GossipDissemination::new(hosts, 2, 3, AvailabilityPolicy::default(), seed);
+                s.set_cache_capacity(5);
+                s.set_refresh_every(4);
+                s
+            };
+            let (mut lazy, mut eager) = (new(), new());
+            let (mut n_lazy, mut n_eager) = (net(hosts), net(hosts));
+            let mut rng = sprite_sim::DetRng::seed_from(seed);
+            let mut world = idle_world(hosts as u32);
+            let mut now = 10;
+            for step in 0..3_000 {
+                let host = h(rng.uniform_u64(hosts as u64) as u32);
+                let at = SimTime::ZERO + SimDuration::from_secs(now - rng.uniform_u64(3));
+                now += rng.uniform_u64(2);
+                let ctx = format!("seed {seed} step {step}");
+                match rng.uniform_u64(10) {
+                    0..=6 => {
+                        let info = &mut world[host.index()];
+                        if rng.chance(0.2) {
+                            info.console_active = !info.console_active;
+                        }
+                        info.idle = SimDuration::from_secs(rng.uniform_u64(120));
+                        let info = *info;
+                        let a = lazy.report(&mut n_lazy, at, info);
+                        let b = eager.report(&mut n_eager, at, info);
+                        eager.apply_own(host.index());
+                        assert_eq!(a, b, "report: {ctx}");
+                    }
+                    7 => {
+                        let a = lazy.select(&mut n_lazy, at, host, &world);
+                        let b = eager.select(&mut n_eager, at, host, &world);
+                        assert_eq!(a, b, "select: {ctx}");
+                    }
+                    8 => {
+                        let other = h(rng.uniform_u64(hosts as u64) as u32);
+                        let a = lazy.release(&mut n_lazy, at, host, other);
+                        let b = eager.release(&mut n_eager, at, host, other);
+                        assert_eq!(a, b, "release: {ctx}");
+                    }
+                    _ => {
+                        let info = world[rng.uniform_u64(hosts as u64) as usize];
+                        lazy.prime(host, info, at);
+                        eager.prime(host, info, at);
+                    }
+                }
+                assert_eq!(
+                    lazy.cached_entries(host),
+                    eager.cached_entries(host),
+                    "cached_entries: {ctx}"
+                );
+                let mut applied = lazy.caches[host.index()].clone();
+                if let Some(e) = lazy.own[host.index()] {
+                    applied.insert(e);
+                }
+                let slots = |c: &LoadCache| -> Vec<(HostInfo, SimTime)> {
+                    c.entries().map(|e| (e.info, e.written)).collect()
+                };
+                assert_eq!(
+                    slots(&applied),
+                    slots(&eager.caches[host.index()]),
+                    "slots: {ctx}"
+                );
+            }
+            assert_eq!(lazy.stats().messages, eager.stats().messages);
+            assert_eq!(lazy.stats().granted, eager.stats().granted);
+        }
     }
 
     #[test]

@@ -226,9 +226,9 @@ impl HostSelector for ShardedCoordinator {
                 self.assigned.insert(e.info.host, (requester, shard));
                 self.stats.info_age.record_duration(e.age(now));
                 // Anticipate load before the process lands [BSW89].
-                if let Some(c) = self.coords[shard].table.get_mut(e.info.host) {
-                    c.info.load += 1.0;
-                }
+                self.coords[shard]
+                    .table
+                    .adjust_load(e.info.host, |l| l + 1.0);
                 self.stats.granted += 1;
                 self.stats
                     .select_latency
@@ -254,9 +254,9 @@ impl HostSelector for ShardedCoordinator {
             Some((_, shard)) => shard,
             None => self.part.shard_of(host),
         };
-        if let Some(c) = self.coords[shard].table.get_mut(host) {
-            c.info.load = (c.info.load - 1.0).max(0.0);
-        }
+        self.coords[shard]
+            .table
+            .adjust_load(host, |l| (l - 1.0).max(0.0));
         let coord_host = self.coords[shard].host;
         if requester == coord_host {
             return now;

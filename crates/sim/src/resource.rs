@@ -166,10 +166,10 @@ impl SlottedResource {
         }
         if self.busy.len() > MAX_SLOTS {
             // Coalesce the two oldest intervals; the forfeited gap between
-            // them is long past any reachable arrival time.
-            let merged = (self.busy[0].0, self.busy[1].1);
-            self.busy.drain(0..2);
-            self.busy.insert(0, merged);
+            // them is long past any reachable arrival time. Widening the
+            // second and dropping the first shifts the calendar once.
+            self.busy[1].0 = self.busy[0].0;
+            self.busy.remove(0);
         }
         end
     }

@@ -9,6 +9,8 @@
 //! Mutka/Livny-style long idle stretches \[ML87\] come out of the night/
 //! weekend regime automatically.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use sprite_net::HostId;
 use sprite_sim::{DetRng, SimDuration, SimTime};
 
@@ -80,12 +82,60 @@ pub struct ActivityEvent {
     pub active: bool,
 }
 
+/// How [`locate`] found its index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// The hint itself bracketed `t`.
+    Hint,
+    /// The index after the hint bracketed `t`.
+    Next,
+    /// Neither did; a binary search answered.
+    Search,
+}
+
+/// `events.partition_point(|e| e.at <= t)` — the index just past the last
+/// transition at or before `t` — tried first at `hint` and then at
+/// `hint + 1`. An index `i` is the answer exactly when it brackets `t`
+/// (`events[i - 1].at <= t < events[i].at`, open at either end), and the
+/// events are strictly ordered, so only one index can; the probes give the
+/// binary search's answer for any `hint` and any `t`.
+fn locate(events: &[ActivityEvent], hint: usize, t: SimTime) -> (usize, Probe) {
+    let brackets = |i: usize| {
+        i <= events.len()
+            && (i == 0 || events[i - 1].at <= t)
+            && (i == events.len() || t < events[i].at)
+    };
+    if brackets(hint) {
+        (hint, Probe::Hint)
+    } else if brackets(hint + 1) {
+        (hint + 1, Probe::Next)
+    } else {
+        (events.partition_point(|e| e.at <= t), Probe::Search)
+    }
+}
+
 /// A host's activity trace over a horizon.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ActivityTrace {
     /// The host this trace belongs to.
     pub host: HostId,
     events: Vec<ActivityEvent>,
+    /// The index the last lookup returned. Simulations sweep time forward
+    /// a minute at a time, so the next answer is almost always this index
+    /// or the one after it. An atomic keeps the trace `Sync` for drivers
+    /// that share traces across threads; relaxed ordering suffices because
+    /// any stored value is a valid hint, only a faster or slower one.
+    hint: AtomicUsize,
+}
+
+impl Clone for ActivityTrace {
+    fn clone(&self) -> Self {
+        ActivityTrace {
+            host: self.host,
+            events: self.events.clone(),
+            hint: AtomicUsize::new(self.hint.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 impl ActivityTrace {
@@ -115,7 +165,11 @@ impl ActivityTrace {
                 events.push(ActivityEvent { at: t, active });
             }
         }
-        ActivityTrace { host, events }
+        ActivityTrace {
+            host,
+            events,
+            hint: AtomicUsize::new(0),
+        }
     }
 
     /// The transitions, in time order.
@@ -123,16 +177,20 @@ impl ActivityTrace {
         &self.events
     }
 
-    /// Index just past the last transition at or before `t` (events are
-    /// strictly ordered by time, so a binary search finds it; these lookups
-    /// run millions of times in the month-long production simulations).
+    /// The last transition at or before `t`. These lookups run millions of
+    /// times in the month-long production simulations, nearly always a
+    /// minute after the previous one, so [`locate`] starts from the last
+    /// answer: a forward sweep costs two to four comparisons per lookup
+    /// and falls back to a binary search only when more than one
+    /// transition passed since the previous lookup. Lookups in any other order get the same
+    /// answer, just from the binary search.
     fn last_transition_before(&self, t: SimTime) -> Option<&ActivityEvent> {
-        let i = self.events.partition_point(|e| e.at <= t);
-        if i == 0 {
-            None
-        } else {
-            Some(&self.events[i - 1])
+        let hint = self.hint.load(Ordering::Relaxed);
+        let (i, _) = locate(&self.events, hint, t);
+        if i != hint {
+            self.hint.store(i, Ordering::Relaxed);
         }
+        i.checked_sub(1).map(|j| &self.events[j])
     }
 
     /// Whether the user is at the console at `t`.
@@ -258,6 +316,132 @@ mod tests {
             );
             assert_eq!(tr.idle_duration_at(w[1].at), SimDuration::ZERO);
         }
+    }
+
+    /// The answer the unhinted lookup gives: `(active_at, idle_duration_at)`
+    /// from a fresh binary search.
+    fn unhinted(events: &[ActivityEvent], t: SimTime) -> (bool, SimDuration) {
+        let i = events.partition_point(|e| e.at <= t);
+        match i.checked_sub(1).map(|j| events[j]) {
+            Some(e) if e.active => (true, SimDuration::ZERO),
+            Some(e) => (false, t.elapsed_since(e.at)),
+            None => (false, t.elapsed_since(SimTime::ZERO)),
+        }
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    #[test]
+    fn hinted_lookups_match_binary_search_in_any_order() {
+        let mut rng = DetRng::seed_from(11);
+        let tr = ActivityTrace::generate(
+            &mut rng,
+            &ActivityModel::default(),
+            HostId::new(0),
+            SimDuration::from_secs(3 * DAY),
+        );
+        let last = tr
+            .events()
+            .last()
+            .map(|e| e.at.as_micros() / 1_000_000)
+            .unwrap_or(0);
+        let mut times: Vec<u64> = (0..2_000)
+            .map(|_| rng.uniform_u64(3 * DAY + HOUR))
+            .collect();
+        times.extend((0..3 * DAY).rev().step_by(97)); // decreasing
+        times.extend([5_000; 4]); // repeated
+        times.extend([last, last + 1, last + DAY, 0, last]); // at, past the last event
+        for t in times {
+            let t = secs(t);
+            let want = unhinted(tr.events(), t);
+            assert_eq!((tr.active_at(t), tr.idle_duration_at(t)), want, "t = {t}");
+        }
+        // A trace whose first transition comes after time zero: lookups
+        // before it find no event, from any hint.
+        let events = vec![
+            ActivityEvent {
+                at: secs(100),
+                active: true,
+            },
+            ActivityEvent {
+                at: secs(200),
+                active: false,
+            },
+            ActivityEvent {
+                at: secs(300),
+                active: true,
+            },
+        ];
+        for hint in 0..=events.len() {
+            for t in [0, 99, 100, 150, 200, 299, 300, 10_000] {
+                let want = events.partition_point(|e| e.at <= secs(t));
+                assert_eq!(locate(&events, hint, secs(t)).0, want, "hint {hint} t {t}");
+            }
+        }
+        let late = ActivityTrace {
+            host: HostId::new(1),
+            events,
+            hint: AtomicUsize::new(3),
+        };
+        assert_eq!(
+            (late.active_at(secs(50)), late.idle_duration_at(secs(50))),
+            (false, SimDuration::from_secs(50))
+        );
+        assert_eq!(
+            (late.active_at(secs(250)), late.idle_duration_at(secs(250))),
+            (false, SimDuration::from_secs(50))
+        );
+    }
+
+    /// The work counter beside the wall-clock metric: a monotone one-minute
+    /// sweep over a 15-day trace answers from the hint or the index after
+    /// it, and falls back to a binary search only for a minute in which
+    /// two or more transitions happened — so at most once per transition.
+    #[test]
+    fn minute_sweep_falls_back_to_search_at_most_once_per_transition() {
+        let tr = ActivityTrace::generate(
+            &mut DetRng::seed_from(53),
+            &ActivityModel::default(),
+            HostId::new(0),
+            SimDuration::from_secs(15 * DAY),
+        );
+        let events = tr.events();
+        let (mut hint, mut searches, mut crowded_minutes) = (0, 0, 0);
+        for minute in 0..15 * DAY / 60 {
+            let t = secs(60 * minute);
+            let (i, probe) = locate(events, hint, t);
+            assert_eq!(i, events.partition_point(|e| e.at <= t));
+            match probe {
+                Probe::Hint => assert_eq!(i, hint),
+                Probe::Next => assert_eq!(i, hint + 1),
+                Probe::Search => searches += 1,
+            }
+            if i >= hint + 2 {
+                crowded_minutes += 1;
+            }
+            hint = i;
+        }
+        assert_eq!(
+            searches, crowded_minutes,
+            "a search only when two transitions passed"
+        );
+        assert!(
+            searches <= events.len(),
+            "{searches} searches for {} transitions",
+            events.len()
+        );
+        assert!(
+            searches as u64 * 100 < 15 * DAY / 60,
+            "{searches} searches in a 15-day sweep"
+        );
+    }
+
+    #[test]
+    fn traces_stay_shareable_across_threads() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<ActivityTrace>();
     }
 
     #[test]

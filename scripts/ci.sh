@@ -2,7 +2,7 @@
 # Offline CI gate for the Sprite migration reproduction.
 #
 #   scripts/ci.sh          # full gate: quick mode plus chaos suite, fmt --check,
-#                          # bench_check.sh and the perfbench fingerprint
+#                          # bench_check.sh and the perfbench fingerprints
 #   scripts/ci.sh --quick  # release build, tests, clippy, sprite_lint, smokes
 #
 # Everything runs offline: the workspace has zero external dependencies, so
@@ -133,6 +133,24 @@ if ! perf_out="$(CARGO_TARGET_DIR=.bench_build cargo run --release \
 fi
 if ! grep -q '^baseline: matches the recorded fingerprint' <<< "$perf_out"; then
     echo "FAIL: perfbench cell_month did not match its recorded fingerprint" >&2
+    echo "$perf_out" | tail -20 >&2
+    exit 1
+fi
+
+echo "==> perfbench mechanism_month (seed 53, recorded fingerprint)"
+# The e11-style month runs the mechanism code: gossip load reports, the
+# activity-trace lookups, exec-time migration and eviction. Its fingerprint
+# pins the cluster digest and the migration counts, so any change to the
+# gossip caches or the trace lookups that moves a placement fails here.
+if ! perf_out="$(CARGO_TARGET_DIR=.bench_build cargo run --release \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload mechanism_month --seed 53 --seconds 1 --trace 0 2>&1)"; then
+    echo "FAIL: perfbench mechanism_month exited non-zero" >&2
+    echo "$perf_out" | tail -20 >&2
+    exit 1
+fi
+if ! grep -q '^baseline: matches the recorded fingerprint' <<< "$perf_out"; then
+    echo "FAIL: perfbench mechanism_month did not match its recorded fingerprint" >&2
     echo "$perf_out" | tail -20 >&2
     exit 1
 fi
